@@ -23,8 +23,9 @@
 //!    primary/backup fault-tolerance scheme in [`failover`].
 //!
 //! The policies are consumed by the simulator (`cpms-sim`) and by the live
-//! TCP proxy (`cpms-httpd`); the splicing state machine is exercised by
-//! unit/property tests and by the live proxy's connection handling.
+//! TCP proxy (`cpms-httpd`). The splicing state machine is not on the live
+//! path: only unit/property tests and the `dispatch` criterion bench drive
+//! it (the live proxy relays over its own socket pool instead).
 //!
 //! # Example: routing decisions
 //!

@@ -34,8 +34,7 @@ use crate::http::{
 };
 use crate::pool::SocketPool;
 use crate::proxy::{
-    HandoffQueue, ProxyStats, TenantSlot, METRICS_JSON_PATH, METRICS_PATH, SERIES_JSON_PATH,
-    TRACE_JSON_PATH,
+    render_registry_doc, HandoffQueue, ProxyStats, TenantSlot, METRICS_JSON_PATH, METRICS_PATH,
 };
 use cpms_dispatch::LiveRouter;
 use cpms_model::UrlPath;
@@ -761,12 +760,7 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
     let admin_body = match request.path.as_str() {
         METRICS_PATH => Some(render_metrics(cx, false)),
         METRICS_JSON_PATH => Some(render_metrics(cx, true)),
-        TRACE_JSON_PATH => Some(cx.registry.spans().to_json()),
-        SERIES_JSON_PATH => Some(cx.registry.series().map_or_else(
-            || "{\"scrape_seq\":0,\"uptime_micros\":0,\"samples\":0,\"series\":{}}".to_string(),
-            |recorder| recorder.to_json(),
-        )),
-        _ => None,
+        other => render_registry_doc(&cx.registry, other),
     };
     if let Some(body) = admin_body {
         finish_request(conn);

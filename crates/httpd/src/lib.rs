@@ -68,6 +68,6 @@ pub use http::TRACE_HEADER;
 pub use l4proxy::L4Proxy;
 pub use origin::{OriginServer, SiteContent};
 pub use proxy::{
-    ContentAwareProxy, ProxyConfig, TenantCap, METRICS_JSON_PATH, METRICS_PATH, SERIES_JSON_PATH,
-    TRACE_JSON_PATH,
+    render_registry_doc, ContentAwareProxy, ProxyConfig, TenantCap, METRICS_JSON_PATH,
+    METRICS_PATH, SERIES_JSON_PATH, TRACE_JSON_PATH,
 };

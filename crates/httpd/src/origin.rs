@@ -258,12 +258,7 @@ fn serve_connection(
         // a co-located broker's wire/store metrics share the document.
         let admin_body = match request.path.as_str() {
             crate::proxy::METRICS_JSON_PATH => Some(registry.snapshot().to_json()),
-            crate::proxy::TRACE_JSON_PATH => Some(spans.to_json()),
-            crate::proxy::SERIES_JSON_PATH => Some(registry.series().map_or_else(
-                || "{\"scrape_seq\":0,\"uptime_micros\":0,\"samples\":0,\"series\":{}}".to_string(),
-                |recorder| recorder.to_json(),
-            )),
-            _ => None,
+            other => crate::proxy::render_registry_doc(registry, other),
         };
         if let Some(body) = admin_body {
             write_response(&mut writer, 200, body.as_bytes(), keep_alive)?;

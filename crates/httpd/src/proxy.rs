@@ -69,6 +69,22 @@ pub const TRACE_JSON_PATH: &str = "/_cpms/trace.json";
 /// an external [`cpms_obs::Sampler`]) to populate it.
 pub const SERIES_JSON_PATH: &str = "/_cpms/series.json";
 
+/// Renders the two registry-wide admin documents every process serves
+/// alike: [`TRACE_JSON_PATH`] (the span dump) and [`SERIES_JSON_PATH`]
+/// (the flight recorder's series, or an empty series document while no
+/// recorder runs). `None` for any other path.
+#[must_use]
+pub fn render_registry_doc(registry: &MetricsRegistry, path: &str) -> Option<String> {
+    match path {
+        TRACE_JSON_PATH => Some(registry.spans().to_json()),
+        SERIES_JSON_PATH => Some(registry.series().map_or_else(
+            || "{\"scrape_seq\":0,\"uptime_micros\":0,\"samples\":0,\"series\":{}}".to_string(),
+            |recorder| recorder.to_json(),
+        )),
+        _ => None,
+    }
+}
+
 /// Accepted connections an acceptor may park on one worker's handoff
 /// queue before shedding instead — bounds the accept backlog a slow
 /// worker can accumulate.

@@ -8,15 +8,14 @@
 //! An agent is a *serializable wire message*: the controller ships an
 //! [`AgentRequest`] to a broker over a `cpms-wire` transport (in-process
 //! channel or TCP), the broker executes it against its node's
-//! [`NodeStore`], and the [`AgentReply`] rides back the same way. The
+//! [`ContentStore`], and the [`AgentReply`] rides back the same way. The
 //! built-in agents cover the operations the controller needs (store,
 //! delete, rename, replicate, status, listing); new management functions
 //! are added by implementing [`Agent`] and giving [`AgentRequest`] a
 //! variant, without touching broker or controller plumbing.
 
-use crate::store::{BrokerState, StoreError, StoredFile};
-use cpms_model::{NodeId, UrlPath};
-use cpms_store::{ShipReply, ShipRequest};
+use cpms_model::{ContentId, NodeId, UrlPath};
+use cpms_store::{ContentStore, ObjectMeta, ShipReply, ShipRequest, StoreError};
 use cpms_wire::WireError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -27,8 +26,8 @@ use std::fmt;
 pub enum AgentOutput {
     /// The operation completed with nothing to report.
     Done,
-    /// A listing of the node's files.
-    Listing(Vec<(UrlPath, StoredFile)>),
+    /// A listing of the node's files, sorted by path.
+    Listing(Vec<(UrlPath, ObjectMeta)>),
     /// A status snapshot of the node.
     Status {
         /// Files stored on the node.
@@ -119,14 +118,13 @@ pub trait Agent: Send {
     /// Short name for logs and reports.
     fn name(&self) -> &'static str;
 
-    /// Runs the function on the broker's node, against both halves of
-    /// its state: the metadata ledger and the content repository.
+    /// Runs the function against the broker node's content store.
     ///
     /// # Errors
     ///
     /// Implementations surface store-level failures as
     /// [`AgentError::Store`].
-    fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError>;
+    fn execute(&self, store: &ContentStore) -> Result<AgentOutput, AgentError>;
 }
 
 /// The wire form of an agent: every management function the controller
@@ -165,20 +163,20 @@ impl AgentRequest {
         }
     }
 
-    /// Executes the wrapped agent against `state`.
+    /// Executes the wrapped agent against `store`.
     ///
     /// # Errors
     ///
     /// See [`Agent::execute`].
-    pub fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
+    pub fn execute(&self, store: &ContentStore) -> Result<AgentOutput, AgentError> {
         match self {
-            AgentRequest::Store(a) => a.execute(state),
-            AgentRequest::Delete(a) => a.execute(state),
-            AgentRequest::Rename(a) => a.execute(state),
-            AgentRequest::Touch(a) => a.execute(state),
-            AgentRequest::Status(a) => a.execute(state),
-            AgentRequest::List(a) => a.execute(state),
-            AgentRequest::Ship(a) => a.execute(state),
+            AgentRequest::Store(a) => a.execute(store),
+            AgentRequest::Delete(a) => a.execute(store),
+            AgentRequest::Rename(a) => a.execute(store),
+            AgentRequest::Touch(a) => a.execute(store),
+            AgentRequest::Status(a) => a.execute(store),
+            AgentRequest::List(a) => a.execute(store),
+            AgentRequest::Ship(a) => a.execute(store),
         }
     }
 }
@@ -231,15 +229,20 @@ impl From<AgentReply> for Result<AgentOutput, AgentError> {
     }
 }
 
-/// Stores a file on the node (used for publishing and as the receiving
-/// half of replication).
+/// Stores a file on the node: the synthetic body of `content` at `size`
+/// bytes (seeding and tests; published content arrives through
+/// [`ShipAgent`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StoreFile {
     /// Destination path.
     pub path: UrlPath,
-    /// File metadata to store.
-    pub file: StoredFile,
-    /// Whether to overwrite an existing copy (content updates).
+    /// Which content object the file is a copy of.
+    pub content: ContentId,
+    /// Size in bytes.
+    pub size: u64,
+    /// Whether to overwrite an existing copy (content updates). Without
+    /// it, storing the identical body again succeeds and a different
+    /// body conflicts.
     pub overwrite: bool,
 }
 
@@ -248,31 +251,9 @@ impl Agent for StoreFile {
         "store-file"
     }
 
-    fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        // The ledger is authoritative for quota/conflict policy; commit
-        // the bytes second and roll the ledger back if they fail.
-        let prior = state.meta().get(&self.path).copied();
-        state
-            .meta_mut()
-            .store(self.path.clone(), self.file, self.overwrite)?;
-        let body = cpms_store::synthetic_body(self.file.content, self.file.size);
-        if let Err(e) = state.content().put(
-            &self.path,
-            self.file.content,
-            self.file.version,
-            &body,
-            true,
-        ) {
-            match prior {
-                Some(f) => {
-                    let _ = state.meta_mut().store(self.path.clone(), f, true);
-                }
-                None => {
-                    let _ = state.meta_mut().remove(&self.path);
-                }
-            }
-            return Err(AgentError::Store(e.into()));
-        }
+    fn execute(&self, store: &ContentStore) -> Result<AgentOutput, AgentError> {
+        let body = cpms_store::synthetic_body(self.content, self.size);
+        store.put(&self.path, self.content, 0, &body, self.overwrite)?;
         Ok(AgentOutput::Done)
     }
 }
@@ -293,11 +274,8 @@ impl Agent for DeleteFile {
         "delete-file"
     }
 
-    fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        state.meta_mut().remove(&self.path)?;
-        // The ledger delete is the decision; the repository follows
-        // (already-absent bytes are not an error).
-        let _ = state.content().delete(&self.path);
+    fn execute(&self, store: &ContentStore) -> Result<AgentOutput, AgentError> {
+        store.delete(&self.path)?;
         Ok(AgentOutput::Done)
     }
 }
@@ -316,9 +294,8 @@ impl Agent for RenameFile {
         "rename-file"
     }
 
-    fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        state.meta_mut().rename(&self.from, self.to.clone())?;
-        let _ = state.content().rename(&self.from, &self.to);
+    fn execute(&self, store: &ContentStore) -> Result<AgentOutput, AgentError> {
+        store.rename(&self.from, &self.to)?;
         Ok(AgentOutput::Done)
     }
 }
@@ -336,10 +313,8 @@ impl Agent for TouchFile {
         "touch-file"
     }
 
-    fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        let version = state.meta_mut().touch(&self.path)?;
-        let _ = state.content().touch(&self.path);
-        Ok(AgentOutput::Version(version))
+    fn execute(&self, store: &ContentStore) -> Result<AgentOutput, AgentError> {
+        Ok(AgentOutput::Version(store.touch(&self.path)?))
     }
 }
 
@@ -353,12 +328,12 @@ impl Agent for StatusProbe {
         "status-probe"
     }
 
-    fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        let store = state.meta();
+    fn execute(&self, store: &ContentStore) -> Result<AgentOutput, AgentError> {
+        let stats = store.stats();
         Ok(AgentOutput::Status {
-            files: store.len(),
-            used_bytes: store.used_bytes(),
-            free_bytes: store.free_bytes(),
+            files: stats.objects as usize,
+            used_bytes: stats.committed_bytes,
+            free_bytes: stats.free_bytes(),
         })
     }
 }
@@ -372,18 +347,13 @@ impl Agent for ListFiles {
         "list-files"
     }
 
-    fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        let mut listing: Vec<(UrlPath, StoredFile)> =
-            state.meta().iter().map(|(p, f)| (p.clone(), *f)).collect();
-        listing.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(AgentOutput::Listing(listing))
+    fn execute(&self, store: &ContentStore) -> Result<AgentOutput, AgentError> {
+        Ok(AgentOutput::Listing(store.inventory()))
     }
 }
 
 /// Tunnels one content-shipping request to the node's content store —
-/// this is how replica bytes actually arrive at a broker. Commits and
-/// deletes keep the metadata ledger in sync, preserving the invariant
-/// that a ledger entry always has committed bytes behind it.
+/// this is how replica bytes actually arrive at a broker.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShipAgent {
     /// The ship-protocol message to apply.
@@ -395,69 +365,42 @@ impl Agent for ShipAgent {
         "ship"
     }
 
-    fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        let reply = cpms_store::apply(state.content(), &self.request);
-        match (&self.request, &reply) {
-            (ShipRequest::Commit { path, .. }, ShipReply::Committed(object)) => {
-                let file = StoredFile {
-                    content: object.content,
-                    size: object.size,
-                    version: object.version,
-                };
-                if let Err(e) = state.meta_mut().store(path.clone(), file, true) {
-                    // The ledger would lie about the commit: undo it.
-                    let _ = state.content().delete(path);
-                    return Err(AgentError::Store(e));
-                }
-            }
-            (ShipRequest::Delete { path }, ShipReply::Deleted(_)) => {
-                let _ = state.meta_mut().remove(path);
-            }
-            _ => {}
-        }
-        Ok(AgentOutput::Ship(reply))
+    fn execute(&self, store: &ContentStore) -> Result<AgentOutput, AgentError> {
+        Ok(AgentOutput::Ship(cpms_store::apply(store, &self.request)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpms_model::ContentId;
 
     fn p(s: &str) -> UrlPath {
         s.parse().unwrap()
     }
 
-    fn store() -> BrokerState {
-        BrokerState::new(NodeId(1), 1 << 20)
+    fn store() -> ContentStore {
+        ContentStore::in_memory(NodeId(1), 1 << 20)
     }
 
-    fn f(id: u32) -> StoredFile {
-        StoredFile {
+    fn file(path: &str, id: u32) -> StoreFile {
+        StoreFile {
+            path: p(path),
             content: ContentId(id),
             size: 100,
-            version: 0,
+            overwrite: false,
         }
     }
 
     #[test]
     fn store_then_delete() {
-        let mut s = store();
-        let out = StoreFile {
-            path: p("/a"),
-            file: f(1),
-            overwrite: false,
-        }
-        .execute(&mut s)
-        .unwrap();
+        let s = store();
+        let out = file("/a", 1).execute(&s).unwrap();
         assert_eq!(out, AgentOutput::Done);
-        assert!(s.meta().contains(&p("/a")));
-        assert!(s.content().contains(&p("/a")), "bytes committed too");
+        assert!(s.contains(&p("/a")), "bytes committed");
 
-        DeleteFile { path: p("/a") }.execute(&mut s).unwrap();
-        assert!(!s.meta().contains(&p("/a")));
-        assert!(!s.content().contains(&p("/a")), "bytes removed too");
-        let err = DeleteFile { path: p("/a") }.execute(&mut s).unwrap_err();
+        DeleteFile { path: p("/a") }.execute(&s).unwrap();
+        assert!(!s.contains(&p("/a")), "bytes removed");
+        let err = DeleteFile { path: p("/a") }.execute(&s).unwrap_err();
         assert!(matches!(
             err,
             AgentError::Store(StoreError::NotFound { .. })
@@ -466,37 +409,25 @@ mod tests {
 
     #[test]
     fn rename_and_touch() {
-        let mut s = store();
-        StoreFile {
-            path: p("/old"),
-            file: f(2),
-            overwrite: false,
-        }
-        .execute(&mut s)
-        .unwrap();
+        let s = store();
+        file("/old", 2).execute(&s).unwrap();
         RenameFile {
             from: p("/old"),
             to: p("/new"),
         }
-        .execute(&mut s)
+        .execute(&s)
         .unwrap();
-        let out = TouchFile { path: p("/new") }.execute(&mut s).unwrap();
+        let out = TouchFile { path: p("/new") }.execute(&s).unwrap();
         assert_eq!(out, AgentOutput::Version(1));
     }
 
     #[test]
     fn status_and_listing() {
-        let mut s = store();
+        let s = store();
         for i in 0..3 {
-            StoreFile {
-                path: p(&format!("/f{i}")),
-                file: f(i),
-                overwrite: false,
-            }
-            .execute(&mut s)
-            .unwrap();
+            file(&format!("/f{i}"), i).execute(&s).unwrap();
         }
-        match StatusProbe.execute(&mut s).unwrap() {
+        match StatusProbe.execute(&s).unwrap() {
             AgentOutput::Status {
                 files, used_bytes, ..
             } => {
@@ -505,7 +436,7 @@ mod tests {
             }
             other => panic!("unexpected output {other:?}"),
         }
-        match ListFiles.execute(&mut s).unwrap() {
+        match ListFiles.execute(&s).unwrap() {
             AgentOutput::Listing(l) => {
                 assert_eq!(l.len(), 3);
                 assert!(l.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
@@ -529,68 +460,48 @@ mod tests {
     }
 
     #[test]
-    fn ship_commit_syncs_the_ledger() {
-        use cpms_store::{fnv64, hex_encode, ObjectMeta};
-        let mut s = store();
+    fn shipped_file_is_listed_only_after_commit() {
+        use cpms_store::{fnv64, hex_encode};
+        let s = store();
         let body = vec![7u8; 300];
         let meta = ObjectMeta::for_body(ContentId(9), &body, 256, 0);
-        let reply = |r: AgentOutput| match r {
+        let ship = |request| match (ShipAgent { request }).execute(&s).unwrap() {
             AgentOutput::Ship(reply) => reply,
             other => panic!("{other:?}"),
         };
-        let begun = reply(
-            ShipAgent {
-                request: ShipRequest::Begin {
-                    path: p("/shipped"),
-                    meta,
-                    overwrite: false,
-                },
-            }
-            .execute(&mut s)
-            .unwrap(),
-        );
-        let transfer = match begun {
+        let listed = || match ListFiles.execute(&s).unwrap() {
+            AgentOutput::Listing(l) => l,
+            other => panic!("{other:?}"),
+        };
+        let transfer = match ship(ShipRequest::Begin {
+            path: p("/shipped"),
+            meta,
+            overwrite: false,
+        }) {
             ShipReply::Begun { transfer, .. } => transfer,
             other => panic!("{other:?}"),
         };
         for index in 0..meta.chunk_count() {
             let range = meta.chunk_range(index).unwrap();
-            ShipAgent {
-                request: ShipRequest::Chunk {
-                    transfer,
-                    index,
-                    data: hex_encode(&body[range.clone()]),
-                    checksum: fnv64(&body[range]),
-                },
-            }
-            .execute(&mut s)
-            .unwrap();
-        }
-        assert!(
-            !s.meta().contains(&p("/shipped")),
-            "staged bytes are not in the ledger yet"
-        );
-        ShipAgent {
-            request: ShipRequest::Commit {
+            ship(ShipRequest::Chunk {
                 transfer,
-                path: p("/shipped"),
-                checksum: meta.checksum,
-            },
+                index,
+                data: hex_encode(&body[range.clone()]),
+                checksum: fnv64(&body[range]),
+            });
         }
-        .execute(&mut s)
-        .unwrap();
-        let file = s.meta().get(&p("/shipped")).expect("ledger synced");
-        assert_eq!(file.content, ContentId(9));
-        assert_eq!(file.size, 300, "ledger records the committed size");
-        assert_eq!(s.content().read(&p("/shipped")).unwrap(), body);
+        assert!(listed().is_empty(), "staged bytes are not listed yet");
+        ship(ShipRequest::Commit {
+            transfer,
+            path: p("/shipped"),
+            checksum: meta.checksum,
+        });
+        assert_eq!(listed(), vec![(p("/shipped"), meta)]);
+        assert_eq!(s.read(&p("/shipped")).unwrap(), body);
 
-        ShipAgent {
-            request: ShipRequest::Delete {
-                path: p("/shipped"),
-            },
-        }
-        .execute(&mut s)
-        .unwrap();
-        assert!(!s.meta().contains(&p("/shipped")), "delete synced");
+        ship(ShipRequest::Delete {
+            path: p("/shipped"),
+        });
+        assert!(listed().is_empty(), "delete unlists");
     }
 }

@@ -14,9 +14,9 @@
 //!
 //!     With `--store DIR` the broker keeps object bytes in a durable
 //!     on-disk content store rooted at DIR: shipped replicas survive a
-//!     restart, and on startup any objects already committed under DIR
-//!     are adopted back into the broker's ledger. Without it, content
-//!     lives in memory and dies with the process.
+//!     restart, and on startup the broker serves and reports every
+//!     object already committed under DIR. Without it, content lives in
+//!     memory and dies with the process.
 //!
 //!     With `--http` the broker also runs a co-located origin HTTP
 //!     server backed by the same content store — the "back-end web
@@ -35,7 +35,7 @@
 //!     transport at 20% frame loss and a poisoned (truncating)
 //!     transport — and exits 0 if the wire layer held up.
 
-use cpms_mgmt::store::{NodeStore, StoredFile};
+use cpms_mgmt::store::NodeStore;
 use cpms_mgmt::{AgentError, AgentOutput, Broker};
 use cpms_model::{ContentId, NodeId, UrlPath};
 use cpms_obs::MetricsRegistry;
@@ -87,14 +87,16 @@ fn daemon(addr: &str, rest: &[String]) {
         .get(1)
         .map(|s| s.parse().expect("DISK_MB must be a number"))
         .unwrap_or(256);
-    let meta = NodeStore::new(NodeId(node), disk_mb << 20);
     let state = match &store_dir {
         Some(dir) => {
             let content = cpms_store::ContentStore::open(NodeId(node), dir.as_str(), disk_mb << 20)
                 .expect("open on-disk content store");
-            cpms_mgmt::BrokerState::with_content(meta, Arc::new(content))
+            cpms_mgmt::BrokerState::with_content(
+                NodeStore::new(NodeId(node), disk_mb << 20),
+                Arc::new(content),
+            )
         }
-        None => cpms_mgmt::BrokerState::from_meta(meta),
+        None => cpms_mgmt::BrokerState::new(NodeId(node), disk_mb << 20),
     };
     // Grab the content store before the broker takes ownership of the
     // state: the co-located origin serves the same bytes the management
@@ -176,11 +178,8 @@ fn store_file(handle: &cpms_mgmt::BrokerHandle, p: &str, id: u32) {
     handle
         .dispatch(cpms_mgmt::agent::StoreFile {
             path: path(p),
-            file: StoredFile {
-                content: ContentId(id),
-                size: 64,
-                version: 0,
-            },
+            content: ContentId(id),
+            size: 64,
             overwrite: false,
         })
         .expect("store over TCP");
@@ -265,9 +264,9 @@ fn smoke() {
         err.root()
     );
 
-    // 4. Shutdown returns the final store state over the same wire.
+    // 4. Shutdown hands back the broker's content store.
     let store = host.shutdown().expect("final state");
-    assert_eq!(store.len(), 2);
+    assert_eq!(store.inventory().len(), 2);
     let err = remote
         .dispatch(cpms_mgmt::agent::StatusProbe)
         .expect_err("daemon is gone");

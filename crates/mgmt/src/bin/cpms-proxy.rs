@@ -52,7 +52,10 @@
 //! `health` shell command renders and whose breaches increment
 //! `slo_breach_total`.
 
-use cpms_httpd::{ContentAwareProxy, ProxyConfig, TenantCap};
+use cpms_httpd::{
+    render_registry_doc, ContentAwareProxy, ProxyConfig, TenantCap, SERIES_JSON_PATH,
+    TRACE_JSON_PATH,
+};
 use cpms_mgmt::admin::{AdminResponse, AdminServer};
 use cpms_mgmt::console::RemoteConsole;
 use cpms_mgmt::shell::{Shell, ShellOutcome};
@@ -283,12 +286,14 @@ fn dispatch(
             Err(e) => AdminResponse::err(e),
         },
         ["metrics"] => AdminResponse::ok(shell.console().controller().metrics_json()),
-        ["traces"] => AdminResponse::ok(shell.console().controller().metrics().spans().to_json()),
-        ["series"] => {
-            AdminResponse::ok(shell.console().controller().metrics().series().map_or_else(
-                || "{\"scrape_seq\":0,\"uptime_micros\":0,\"samples\":0,\"series\":{}}".to_string(),
-                |recorder| recorder.to_json(),
-            ))
+        [verb @ ("traces" | "series")] => {
+            let path = if *verb == "traces" {
+                TRACE_JSON_PATH
+            } else {
+                SERIES_JSON_PATH
+            };
+            let registry = shell.console().controller().metrics();
+            AdminResponse::ok(render_registry_doc(registry, path).unwrap_or_default())
         }
         ["generation"] => AdminResponse::ok(
             shell

@@ -11,7 +11,6 @@
 //!     repairs all of it. Exits 0 only if every byte arrived intact
 //!     (zero checksum rejections) and the final audit is clean.
 
-use cpms_mgmt::store::NodeStore;
 use cpms_mgmt::{AntiEntropyAuditor, BrokerState, Cluster, Controller};
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_store::{fnv64, synthetic_body, ObjectMeta, ShipPort, ShipReply, ShipRequest, Shipper};
@@ -41,7 +40,7 @@ fn smoke() {
     //    stay honest.
     let handles: Vec<_> = (0..3u16)
         .map(|n| {
-            let state = BrokerState::from_meta(NodeStore::new(NodeId(n), 1 << 20));
+            let state = BrokerState::new(NodeId(n), 1 << 20);
             bind_lossy_broker(n, state)
         })
         .collect();

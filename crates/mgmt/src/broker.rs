@@ -6,7 +6,7 @@
 //! > node."
 //!
 //! A broker is a [`cpms_wire::Service`]: it owns its node's
-//! [`NodeStore`] and executes serialized [`AgentRequest`]s received over
+//! [`BrokerState`] and executes serialized [`AgentRequest`]s received over
 //! a wire transport, replying with [`AgentReply`]s. The same service
 //! runs in two deployments:
 //!
@@ -20,13 +20,13 @@
 //! Either way, the controller's end is a [`BrokerHandle`]: a retrying,
 //! deadline-bounded [`cpms_wire::Client`] plus (for locally hosted
 //! brokers) the server handle itself, so tests and the single-process
-//! deployment can stop a broker and recover its final store state.
+//! deployment can stop a broker and recover its content store.
 
 use crate::agent::{AgentError, AgentOutput, AgentReply, AgentRequest, ShipAgent};
 use crate::store::{BrokerState, NodeStore};
 use cpms_model::NodeId;
 use cpms_obs::{MetricsRegistry, SpanCollector, TraceContext, TracedSpan};
-use cpms_store::{ShipPort, ShipReply, ShipRequest};
+use cpms_store::{ContentStore, ShipPort, ShipReply, ShipRequest};
 use cpms_wire::{
     Client, ClientStats, InProcServer, RetryPolicy, TcpServer, TcpTransport, Transport, WireError,
 };
@@ -47,19 +47,7 @@ pub struct BrokerService {
 }
 
 impl BrokerService {
-    /// Wraps a node store as a wire service, backing it with a fresh
-    /// in-memory content repository (existing ledger files are
-    /// materialized so both views start consistent).
-    #[must_use]
-    pub fn new(store: NodeStore) -> Self {
-        BrokerService {
-            state: BrokerState::from_meta(store),
-            spans: None,
-        }
-    }
-
-    /// Wraps explicit broker state — the seam for a disk-backed or
-    /// pre-populated content repository.
+    /// Wraps broker state as a wire service.
     #[must_use]
     pub fn with_state(state: BrokerState) -> Self {
         BrokerService { state, spans: None }
@@ -80,17 +68,11 @@ impl BrokerService {
         self.state.node()
     }
 
-    /// The broker's full state (ledger + content repository).
+    /// Unwraps the service into its content store (after the server
+    /// that owned it stopped).
     #[must_use]
-    pub fn state(&self) -> &BrokerState {
-        &self.state
-    }
-
-    /// Unwraps the service back into its metadata store (after the
-    /// server that owned it stopped).
-    #[must_use]
-    pub fn into_store(self) -> NodeStore {
-        self.state.into_meta()
+    pub fn into_store(self) -> Arc<ContentStore> {
+        Arc::clone(self.state.content())
     }
 }
 
@@ -117,7 +99,7 @@ impl cpms_wire::Service for BrokerService {
                     }
                     _ => None,
                 };
-                let result = agent.execute(&mut self.state);
+                let result = agent.execute(self.state.content());
                 if let (Some(span), Err(e)) = (span.as_mut(), &result) {
                     span.set_error(true);
                     span.set_detail(e.to_string());
@@ -220,11 +202,11 @@ impl BrokerHandle {
         reply.into()
     }
 
-    /// Stops a locally hosted broker and returns its final store state
-    /// (for inspection or migration). Idempotent: returns `None` on
-    /// repeated calls, if the broker already died, or if the broker is a
-    /// remote daemon this process does not host.
-    pub fn shutdown(&mut self) -> Option<NodeStore> {
+    /// Stops a locally hosted broker and returns its content store (for
+    /// inspection or migration). Idempotent: returns `None` on repeated
+    /// calls, if the broker already died, or if the broker is a remote
+    /// daemon this process does not host.
+    pub fn shutdown(&mut self) -> Option<Arc<ContentStore>> {
         match self.server.take()? {
             BrokerServer::InProc(mut s) => s.stop().map(BrokerService::into_store),
             BrokerServer::Tcp(mut s) => s.stop().map(BrokerService::into_store),
@@ -257,7 +239,7 @@ impl ShipPort for BrokerHandle {
             Ok(other) => Err(WireError::Codec {
                 detail: format!("broker answered a ship request with {other:?}"),
             }),
-            Err(AgentError::Store(e)) => Ok(ShipReply::Err(e.into())),
+            Err(AgentError::Store(e)) => Ok(ShipReply::Err(e)),
             Err(AgentError::BrokerUnavailable(node)) => Err(WireError::Unavailable {
                 detail: format!("broker on {node} unavailable"),
             }),
@@ -287,14 +269,14 @@ impl Broker {
             })
     }
 
-    /// Starts an in-process broker for `store`'s node, returning the
-    /// controller-side handle.
-    pub fn spawn(store: NodeStore) -> BrokerHandle {
-        Self::spawn_state(BrokerState::from_meta(store))
+    /// Starts an in-process broker over an empty in-memory store for
+    /// `node`, returning the controller-side handle.
+    pub fn spawn(node: NodeStore) -> BrokerHandle {
+        Self::spawn_state(BrokerState::new(node.node(), node.capacity_bytes()))
     }
 
     /// Starts an in-process broker from explicit state — the seam for a
-    /// disk-backed or pre-populated content repository.
+    /// disk-backed or pre-populated content store.
     pub fn spawn_state(state: BrokerState) -> BrokerHandle {
         let node = state.node();
         let (transport, server) =
@@ -326,12 +308,13 @@ impl Broker {
     /// `wrap(transport)` — the seam fault-injection tests use to put a
     /// [`cpms_wire::FaultyTransport`] between controller and broker.
     pub fn spawn_wrapped(
-        store: NodeStore,
+        node: NodeStore,
         wrap: impl FnOnce(Arc<dyn Transport>) -> Arc<dyn Transport>,
     ) -> BrokerHandle {
-        let node = store.node();
+        let state = BrokerState::new(node.node(), node.capacity_bytes());
+        let node = node.node();
         let (transport, server) =
-            InProcServer::spawn_named(BrokerService::new(store), &format!("broker-{node}"));
+            InProcServer::spawn_named(BrokerService::with_state(state), &format!("broker-{node}"));
         BrokerHandle {
             node,
             client: Self::default_client(wrap(Arc::new(transport)), node),
@@ -340,15 +323,19 @@ impl Broker {
         }
     }
 
-    /// Binds a TCP broker daemon for `store`'s node on `addr` (port 0
-    /// for ephemeral) and returns a handle connected to it over
-    /// loopback/network TCP.
+    /// Binds a TCP broker daemon over an empty in-memory store for
+    /// `node` on `addr` (port 0 for ephemeral) and returns a handle
+    /// connected to it over loopback/network TCP.
     ///
     /// # Errors
     ///
     /// The bind failure, if any.
-    pub fn bind(addr: SocketAddr, store: NodeStore) -> std::io::Result<BrokerHandle> {
-        Self::bind_wrapped(addr, BrokerState::from_meta(store), |t| t)
+    pub fn bind(addr: SocketAddr, node: NodeStore) -> std::io::Result<BrokerHandle> {
+        Self::bind_wrapped(
+            addr,
+            BrokerState::new(node.node(), node.capacity_bytes()),
+            |t| t,
+        )
     }
 
     /// [`Broker::bind`] from explicit state, with the client's transport
@@ -429,18 +416,18 @@ impl Broker {
 mod tests {
     use super::*;
     use crate::agent::{DeleteFile, ListFiles, StatusProbe, StoreFile};
-    use crate::store::StoredFile;
     use cpms_model::{ContentId, UrlPath};
 
     fn p(s: &str) -> UrlPath {
         s.parse().unwrap()
     }
 
-    fn file(id: u32) -> StoredFile {
-        StoredFile {
+    fn file(path: UrlPath, id: u32) -> StoreFile {
+        StoreFile {
+            path,
             content: ContentId(id),
             size: 10,
-            version: 0,
+            overwrite: false,
         }
     }
 
@@ -450,12 +437,7 @@ mod tests {
         assert_eq!(h.node(), NodeId(3));
         assert!(h.is_alive());
         assert_eq!(h.transport_kind(), "inproc");
-        h.dispatch(StoreFile {
-            path: p("/x"),
-            file: file(1),
-            overwrite: false,
-        })
-        .unwrap();
+        h.dispatch(file(p("/x"), 1)).unwrap();
         match h.dispatch(StatusProbe).unwrap() {
             AgentOutput::Status { files, .. } => assert_eq!(files, 1),
             other => panic!("{other:?}"),
@@ -493,12 +475,7 @@ mod tests {
                 let h = &h;
                 scope.spawn(move || {
                     for i in 0..25 {
-                        h.dispatch(StoreFile {
-                            path: p(&format!("/t{t}/f{i}")),
-                            file: file(i),
-                            overwrite: false,
-                        })
-                        .unwrap();
+                        h.dispatch(file(p(&format!("/t{t}/f{i}")), i)).unwrap();
                     }
                 });
             }
@@ -518,12 +495,7 @@ mod tests {
         .unwrap();
         assert_eq!(h.transport_kind(), "tcp");
         assert!(h.is_alive());
-        h.dispatch(StoreFile {
-            path: p("/net"),
-            file: file(2),
-            overwrite: false,
-        })
-        .unwrap();
+        h.dispatch(file(p("/net"), 2)).unwrap();
         match h.dispatch(ListFiles).unwrap() {
             AgentOutput::Listing(l) => {
                 assert_eq!(l.len(), 1);
@@ -547,13 +519,7 @@ mod tests {
         .unwrap();
         let addr = host.addr().expect("tcp daemon has an address");
         let mut remote = Broker::connect(NodeId(4), addr);
-        remote
-            .dispatch(StoreFile {
-                path: p("/r"),
-                file: file(3),
-                overwrite: false,
-            })
-            .unwrap();
+        remote.dispatch(file(p("/r"), 3)).unwrap();
         assert!(remote.shutdown().is_none(), "connect owns no server");
         let store = host.shutdown().expect("host owns the daemon");
         assert!(store.contains(&p("/r")), "remote write landed");

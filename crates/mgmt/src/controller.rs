@@ -523,7 +523,7 @@ impl Controller {
     /// management-error taxonomy.
     fn ship_failure(node: NodeId, e: ShipError) -> MgmtError {
         match e {
-            ShipError::Store(e) => MgmtError::Agent(AgentError::Store(e.into())),
+            ShipError::Store(e) => MgmtError::Agent(AgentError::Store(e)),
             ShipError::Wire(w) => MgmtError::Agent(AgentError::from_wire(node, w)),
             ShipError::Protocol { detail } => MgmtError::Agent(AgentError::Transport {
                 node,
@@ -652,14 +652,15 @@ impl Controller {
         Ok(())
     }
 
-    /// Deletes an object everywhere: agents to every hosting broker, then
-    /// the table record.
+    /// Deletes an object everywhere: the table record first, then agents
+    /// to every hosting broker (unpublish before delete: no snapshot
+    /// routes to a copy that is already gone).
     ///
     /// # Errors
     ///
-    /// [`MgmtError::Table`] if unknown; broker failures are surfaced but
-    /// the table record is still removed (the distributor must stop
-    /// routing to a half-deleted object).
+    /// [`MgmtError::Table`] if unknown; broker failures are surfaced
+    /// after the record is gone, leaving orphan copies for anti-entropy
+    /// to remove.
     pub fn delete(&mut self, path: &UrlPath) -> Result<(), MgmtError> {
         self.timed("delete", |c| c.delete_impl(path))
     }
@@ -671,13 +672,13 @@ impl Controller {
             .ok_or_else(|| TableError::NotFound { path: path.clone() })?
             .locations()
             .to_vec();
+        self.publisher.update(|t| t.remove(path))?;
         let mut first_err: Option<MgmtError> = None;
         for n in locations {
             if let Err(e) = self.broker(n)?.dispatch(DeleteFile { path: path.clone() }) {
                 first_err.get_or_insert(e.into());
             }
         }
-        self.publisher.update(|t| t.remove(path))?;
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -730,7 +731,7 @@ impl Controller {
             Some(x) => x,
             None => {
                 return Err(last_err.unwrap_or(MgmtError::Agent(AgentError::Store(
-                    crate::store::StoreError::NotFound { path: path.clone() },
+                    cpms_store::StoreError::NotFound { path: path.clone() },
                 ))))
             }
         };
@@ -743,12 +744,14 @@ impl Controller {
     }
 
     /// Removes the copy of an object from `node` (offloading a server), but
-    /// never the last copy.
+    /// never the last copy. The table location goes first, then the
+    /// bytes.
     ///
     /// # Errors
     ///
     /// [`MgmtError::LastCopy`], [`MgmtError::NotHostedOn`], or agent
-    /// failures.
+    /// failures (the location is already unpublished; the copy is left
+    /// as an orphan for anti-entropy to remove).
     pub fn offload(&mut self, path: &UrlPath, node: NodeId) -> Result<(), MgmtError> {
         self.timed("offload", |c| c.offload_impl(path, node))
     }
@@ -767,9 +770,9 @@ impl Controller {
         if entry.replica_count() <= 1 {
             return Err(MgmtError::LastCopy { path: path.clone() });
         }
-        self.broker(node)?
-            .dispatch(DeleteFile { path: path.clone() })?;
+        let broker = self.broker(node)?;
         self.publisher.update(|t| t.remove_location(path, node))?;
+        broker.dispatch(DeleteFile { path: path.clone() })?;
         Ok(())
     }
 
@@ -934,7 +937,6 @@ impl Controller {
 mod tests {
     use super::*;
     use crate::agent::StoreFile;
-    use crate::store::StoredFile;
 
     fn p(s: &str) -> UrlPath {
         s.parse().unwrap()
@@ -1125,11 +1127,8 @@ mod tests {
             .unwrap()
             .dispatch(StoreFile {
                 path: p("/ghost"),
-                file: StoredFile {
-                    content: ContentId(9),
-                    size: 1,
-                    version: 0,
-                },
+                content: ContentId(9),
+                size: 1,
                 overwrite: false,
             })
             .unwrap();
@@ -1187,7 +1186,7 @@ mod tests {
             .enumerate()
             .map(|(i, spans)| {
                 Broker::spawn_observed(
-                    BrokerState::from_meta(NodeStore::new(NodeId(i as u16), 1 << 20)),
+                    BrokerState::new(NodeId(i as u16), 1 << 20),
                     Arc::clone(spans),
                 )
             })

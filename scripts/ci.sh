@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo build --release --offline --manifest-path stackbench/Cargo.toml"
+echo "    (the benchmark is its own workspace; a change to a public API it calls fails here)"
+cargo build --release --offline --manifest-path stackbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 

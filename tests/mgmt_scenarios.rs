@@ -1,6 +1,7 @@
 //! Management-system scenarios spanning crates: the controller driving a
 //! broker cluster while the distributor's URL table stays coherent, the
-//! §4 mutable-content policy, and distributor failover.
+//! §4 mutable-content policy, distributor failover, and the
+//! unpublish-before-delete ordering of copy removal.
 //!
 //! Every controller-driven scenario runs twice — once over in-process
 //! channel brokers ([`WireMode::InProc`]) and once over real loopback TCP
@@ -12,8 +13,13 @@ use cpms_dispatch::failover::{BackupDistributor, Heartbeat, MonitorVerdict};
 use cpms_dispatch::mapping::ConnKey;
 use cpms_dispatch::relay::Distributor;
 use cpms_mgmt::console::RemoteConsole;
-use cpms_mgmt::{AutoReplicator, Cluster, Controller, WireMode};
+use cpms_mgmt::store::NodeStore;
+use cpms_mgmt::{AgentRequest, AutoReplicator, Broker, Cluster, Controller, WireMode};
 use cpms_model::{ContentId, ContentKind, LoadSample, LoadTracker, NodeId, SimDuration, UrlPath};
+use cpms_urltable::TablePublisher;
+use cpms_wire::{Transport, WireError};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Duration;
 
 fn p(s: &str) -> UrlPath {
     s.parse().unwrap()
@@ -340,4 +346,91 @@ fn monitor_excludes_dead_nodes_from_replication() {
         assert!(controller.verify_consistency().is_empty());
         controller.shutdown();
     }
+}
+
+/// Sits on the wire to one node's broker and, for every `DeleteFile` it
+/// carries, records whether the controller's current URL-table snapshot
+/// still routes the path to that node.
+#[derive(Debug)]
+struct UnpublishWatch {
+    inner: Arc<dyn Transport>,
+    node: NodeId,
+    table: Arc<OnceLock<TablePublisher>>,
+    /// `(path, still routed here)` per delete seen.
+    seen: Arc<Mutex<Vec<(UrlPath, bool)>>>,
+}
+
+impl Transport for UnpublishWatch {
+    fn call(&self, request: &[u8], deadline: Duration) -> Result<Vec<u8>, WireError> {
+        let agent = std::str::from_utf8(request)
+            .ok()
+            .and_then(|text| serde_json::from_str::<AgentRequest>(text).ok());
+        if let Some(AgentRequest::Delete(delete)) = agent {
+            let table = self.table.get().expect("controller built").snapshot();
+            let routed = table
+                .lookup_exact(&delete.path)
+                .is_some_and(|entry| entry.hosted_on(self.node));
+            self.seen.lock().unwrap().push((delete.path, routed));
+        }
+        self.inner.call(request, deadline)
+    }
+
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+}
+
+/// Offload and delete take a copy out of the URL table before its bytes:
+/// a GET routed while the `DeleteFile` is in flight must never find the
+/// copy gone.
+#[test]
+fn deletes_arrive_only_after_the_table_stops_routing() {
+    let table: Arc<OnceLock<TablePublisher>> = Arc::new(OnceLock::new());
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let handles = (0..2u16)
+        .map(|n| {
+            let (table, seen) = (Arc::clone(&table), Arc::clone(&seen));
+            Broker::spawn_wrapped(NodeStore::new(NodeId(n), 1 << 20), move |inner| {
+                Arc::new(UnpublishWatch {
+                    inner,
+                    node: NodeId(n),
+                    table,
+                    seen,
+                }) as Arc<dyn Transport>
+            })
+        })
+        .collect();
+    let mut controller = Controller::new(Cluster::from_handles(handles));
+    table.set(controller.publisher().share()).unwrap();
+    let both = [NodeId(0), NodeId(1)];
+    for (i, path) in ["/offloaded.html", "/deleted.html"].iter().enumerate() {
+        controller
+            .publish(
+                &p(path),
+                ContentId(i as u32),
+                ContentKind::StaticHtml,
+                100,
+                cpms_model::Priority::Normal,
+                &both,
+            )
+            .unwrap();
+    }
+
+    controller
+        .offload(&p("/offloaded.html"), NodeId(0))
+        .unwrap();
+    controller.delete(&p("/deleted.html")).unwrap();
+
+    let seen = seen.lock().unwrap().clone();
+    assert_eq!(
+        seen,
+        vec![
+            (p("/offloaded.html"), false),
+            (p("/deleted.html"), false),
+            (p("/deleted.html"), false),
+        ],
+        "every DeleteFile must find its copy already unpublished"
+    );
+    assert!(controller.verify_consistency().is_empty());
+    controller.shutdown();
 }

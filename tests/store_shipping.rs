@@ -3,9 +3,10 @@
 //! promise under test — a URL-table generation never routes to a node
 //! whose store has not committed the bytes.
 
+use cpms_mgmt::agent::{ListFiles, StatusProbe};
 use cpms_mgmt::store::NodeStore;
 use cpms_mgmt::{
-    AntiEntropyAuditor, Broker, BrokerHandle, BrokerState, Cluster, Controller, Drift,
+    AgentOutput, AntiEntropyAuditor, Broker, BrokerHandle, BrokerState, Cluster, Controller, Drift,
 };
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_store::{
@@ -39,7 +40,7 @@ fn lossy_tcp_shipping_preserves_integrity() {
             .map(|n| {
                 Broker::bind_wrapped(
                     "127.0.0.1:0".parse().unwrap(),
-                    BrokerState::from_meta(NodeStore::new(NodeId(n), 1 << 20)),
+                    BrokerState::new(NodeId(n), 1 << 20),
                     move |t| {
                         Arc::new(FaultyTransport::new(
                             t,
@@ -285,29 +286,26 @@ fn killed_transfer_never_publishes_uncommitted_replica() {
     with_deadline("killed_transfer", TEST_DEADLINE, || {
         let target_store = Arc::new(ContentStore::in_memory(NodeId(1), 1 << 20));
         let dead = Arc::new(AtomicBool::new(false));
-        let handles = vec![
-            Broker::spawn_state(BrokerState::from_meta(NodeStore::new(NodeId(0), 1 << 20))),
-            {
-                let dead = Arc::clone(&dead);
-                Broker::bind_wrapped(
-                    "127.0.0.1:0".parse().unwrap(),
-                    BrokerState::with_content(
-                        NodeStore::new(NodeId(1), 1 << 20),
-                        Arc::clone(&target_store),
-                    ),
-                    move |t| {
-                        Arc::new(GuillotineTransport {
-                            inner: t,
-                            armed: AtomicBool::new(true),
-                            dead,
-                            chunk_frames: AtomicU32::new(0),
-                            kill_after: 2,
-                        }) as Arc<dyn Transport>
-                    },
-                )
-                .unwrap()
-            },
-        ];
+        let handles = vec![Broker::spawn_state(BrokerState::new(NodeId(0), 1 << 20)), {
+            let dead = Arc::clone(&dead);
+            Broker::bind_wrapped(
+                "127.0.0.1:0".parse().unwrap(),
+                BrokerState::with_content(
+                    NodeStore::new(NodeId(1), 1 << 20),
+                    Arc::clone(&target_store),
+                ),
+                move |t| {
+                    Arc::new(GuillotineTransport {
+                        inner: t,
+                        armed: AtomicBool::new(true),
+                        dead,
+                        chunk_frames: AtomicU32::new(0),
+                        kill_after: 2,
+                    }) as Arc<dyn Transport>
+                },
+            )
+            .unwrap()
+        }];
         let mut controller = Controller::new(Cluster::from_handles(handles));
 
         let object = path("/ship/payload.bin");
@@ -389,5 +387,73 @@ fn killed_transfer_never_publishes_uncommitted_replica() {
         assert!(controller.verify_consistency().is_empty());
         assert!(AntiEntropyAuditor::new().audit(&controller).is_clean());
         controller.shutdown();
+    })
+}
+
+/// The `cpms-broker --store DIR` restart path: objects published through
+/// a TCP broker over a durable store are reported by a new broker over
+/// the same directory — status and listing come from the committed
+/// manifest, with the sizes and checksums the controller recorded.
+#[test]
+fn durable_broker_reports_committed_objects_after_restart() {
+    with_deadline("durable_restart", TEST_DEADLINE, || {
+        let dir =
+            std::env::temp_dir().join(format!("cpms-broker-restart-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable_broker = || {
+            let content = ContentStore::open(NodeId(0), &dir, 1 << 20).unwrap();
+            Broker::bind_wrapped(
+                "127.0.0.1:0".parse().unwrap(),
+                BrokerState::with_content(NodeStore::new(NodeId(0), 1 << 20), Arc::new(content)),
+                |t| t,
+            )
+            .unwrap()
+        };
+
+        let mut controller = Controller::new(Cluster::from_handles(vec![durable_broker()]));
+        let objects = [("/d/a.html", 1_000), ("/d/b.html", 70_000)];
+        for (i, (name, size)) in objects.iter().enumerate() {
+            controller
+                .publish(
+                    &path(name),
+                    ContentId(i as u32),
+                    ContentKind::StaticHtml,
+                    *size,
+                    Priority::Normal,
+                    &[NodeId(0)],
+                )
+                .unwrap();
+        }
+        let table = controller.table();
+        controller.shutdown();
+
+        let mut restarted = durable_broker();
+        match restarted.dispatch(StatusProbe).unwrap() {
+            AgentOutput::Status {
+                files, used_bytes, ..
+            } => {
+                assert_eq!(files, 2);
+                assert_eq!(used_bytes, 71_000);
+            }
+            other => panic!("{other:?}"),
+        }
+        let listing = match restarted.dispatch(ListFiles).unwrap() {
+            AgentOutput::Listing(listing) => listing,
+            other => panic!("{other:?}"),
+        };
+        let want: Vec<(UrlPath, u64, u64)> = objects
+            .iter()
+            .map(|(name, _)| {
+                let entry = table.lookup_exact(&path(name)).unwrap();
+                (path(name), entry.size_bytes(), entry.checksum())
+            })
+            .collect();
+        let got: Vec<(UrlPath, u64, u64)> = listing
+            .into_iter()
+            .map(|(p, meta)| (p, meta.size, meta.checksum))
+            .collect();
+        assert_eq!(got, want);
+        restarted.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     })
 }

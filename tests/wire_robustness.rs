@@ -6,7 +6,7 @@ use cpms_dispatch::failover::{BackupDistributor, HeartbeatListener, HeartbeatSen
 use cpms_dispatch::mapping::ConnKey;
 use cpms_dispatch::relay::Distributor;
 use cpms_mgmt::agent::{StatusProbe, StoreFile};
-use cpms_mgmt::store::{NodeStore, StoredFile};
+use cpms_mgmt::store::NodeStore;
 use cpms_mgmt::{AgentError, AgentOutput, Broker};
 use cpms_model::{ContentId, NodeId, UrlPath};
 use cpms_wire::{FaultPlan, FaultyTransport, InProcServer, Transport, WireError};
@@ -43,11 +43,8 @@ fn broker_rpcs_survive_fifteen_percent_frame_loss() {
         retry("store through 15% loss", 3, || {
             handle.dispatch(StoreFile {
                 path: p("/lossy.html"),
-                file: StoredFile {
-                    content: ContentId(1),
-                    size: 32,
-                    version: 0,
-                },
+                content: ContentId(1),
+                size: 32,
                 overwrite: true,
             })
         });
