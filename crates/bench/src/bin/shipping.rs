@@ -9,7 +9,9 @@
 //!
 //! Run with: `cargo run --release -p cpms-bench --bin shipping`
 //! (add `--smoke` for the quick CI pass: every cell must complete with
-//! intact checksums, without rewriting the committed results file).
+//! intact checksums, and loss-free 16 KiB chunks must move at least half
+//! the bytes per second of loss-free 1 KiB chunks, without rewriting the
+//! committed results file).
 
 use cpms_model::{ContentId, NodeId, UrlPath};
 use cpms_store::{
@@ -148,6 +150,24 @@ fn main() {
         assert!(
             cells.iter().all(|c| c.mb_per_s > 0.0),
             "every cell moved bytes"
+        );
+        // Bigger chunks mean fewer round trips for the same bytes, so on
+        // a clean wire they must not ship slower. A codec whose per-frame
+        // cost grows faster than the frame inverts this.
+        let clean = |chunk_size: u32| {
+            cells
+                .iter()
+                .find(|c| c.chunk_size == chunk_size && c.loss == 0.0)
+                .expect("loss-free cell")
+                .mb_per_s
+        };
+        let (small, large) = (clean(CHUNK_SIZES[0]), clean(CHUNK_SIZES[2]));
+        assert!(
+            large >= 0.5 * small,
+            "loss-free throughput fell with chunk size: {small:.1} MB/s at {} B, \
+             {large:.1} MB/s at {} B",
+            CHUNK_SIZES[0],
+            CHUNK_SIZES[2]
         );
         println!("\nsmoke ok: {payload_kib} KiB shipped intact in every cell");
         return;

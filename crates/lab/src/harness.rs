@@ -374,7 +374,9 @@ fn run_inner(scenario: &Scenario, lab_dir: &Path, started: Instant) -> Result<La
     // after the faults are healed and the stream ends, every
     // `slo_state_*` gauge must drain back to Ok. Polled via the admin
     // plane so the verdicts come from the proxy's own watchdog, not
-    // from any lab-side re-derivation.
+    // from any lab-side re-derivation. Gauges only count as cleared
+    // once `slo_breach_total` shows the breach: a short stream can end
+    // before the watchdog's next evaluation has seen the fault.
     let mut slo_cleared = false;
     let mut slo_clear_ms = 0u128;
     if scenario.assertions.expect_slo_breach() {
@@ -384,15 +386,21 @@ fn run_inner(scenario: &Scenario, lab_dir: &Path, started: Instant) -> Result<La
         while Instant::now() < deadline {
             if let Ok(resp) = admin.send("metrics") {
                 if let Ok(metrics) = serde_json::from_str::<Value>(&resp.output) {
-                    let clear = metrics
-                        .get("gauges")
-                        .and_then(Value::as_object)
-                        .is_some_and(|gauges| {
-                            gauges
-                                .iter()
-                                .filter(|(name, _)| name.starts_with("slo_state_"))
-                                .all(|(_, state)| state.as_i64() == Some(0))
-                        });
+                    let breached = metrics
+                        .get("counters")
+                        .and_then(|c| c.get("slo_breach_total"))
+                        .and_then(Value::as_u64)
+                        .is_some_and(|n| n >= 1);
+                    let clear = breached
+                        && metrics
+                            .get("gauges")
+                            .and_then(Value::as_object)
+                            .is_some_and(|gauges| {
+                                gauges
+                                    .iter()
+                                    .filter(|(name, _)| name.starts_with("slo_state_"))
+                                    .all(|(_, state)| state.as_i64() == Some(0))
+                            });
                     if clear {
                         slo_cleared = true;
                         break;

@@ -1219,6 +1219,52 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Writes the on-disk layout of a store holding `count` one-byte
+    /// objects straight to `root`: object files plus `manifest.json`.
+    /// (`put`ting them instead would rewrite the whole manifest per
+    /// object.)
+    fn write_layout(root: &Path, count: u32) {
+        std::fs::create_dir_all(root.join("objects")).unwrap();
+        let records: Vec<(UrlPath, ObjectMeta)> = (0..count)
+            .map(|i| {
+                let path: UrlPath = format!("/site/dir{}/page{i}.html", i % 64).parse().unwrap();
+                let body = [i as u8];
+                std::fs::write(Medium::object_file(root, &path), body).unwrap();
+                (path, ObjectMeta::for_body(ContentId(i), &body, 4096, 0))
+            })
+            .collect();
+        std::fs::write(
+            root.join("manifest.json"),
+            serde_json::to_string(&records).unwrap(),
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn durable_reopen_of_10k_objects_is_fast() {
+        let dir = std::env::temp_dir().join(format!("cpms-store-reopen-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        write_layout(&dir, 10_000);
+        let start = std::time::Instant::now();
+        let store = ContentStore::open(NodeId(1), &dir, 1 << 30).unwrap();
+        let took = start.elapsed();
+        let stats = store.stats();
+        assert_eq!(stats.objects, 10_000);
+        assert_eq!(stats.committed_bytes, 10_000);
+        assert_eq!(
+            store.read(&p("/site/dir7/page9991.html")).unwrap(),
+            [9991_u32 as u8]
+        );
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+        // Manifest parse, per-record size check and manifest rewrite, in
+        // an unoptimized build on a loaded host.
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "reopening 10k objects took {took:?}"
+        );
+    }
+
     #[test]
     fn concurrent_ships_respect_quota() {
         let store = std::sync::Arc::new(ContentStore::in_memory(NodeId(0), 10_000));
